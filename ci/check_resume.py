@@ -12,8 +12,8 @@ process death at both failure layers:
    least ``--kill-after`` completed trials, then SIGKILL the whole
    process group - the moral equivalent of a machine losing power
    mid-campaign;
-2. **resume + dead worker**: resume the journal in-process
-   (:func:`repro.faults.distributed.run_distributed_campaign`) with a
+2. **resume + dead worker**: resume the journal from this process
+   (:func:`repro.faults.campaign.run_campaign`, 2 workers) with a
    chaos hook that SIGKILLs one live pool worker mid-flight, so the
    supervisor's dead-pool recovery runs inside the gate too;
 3. **byte-identity**: the resumed campaign's fingerprint must equal
@@ -132,8 +132,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{baseline['injections']} - fingerprints would never agree"
         )
 
-    from repro.faults.campaign import CampaignConfig
-    from repro.faults.distributed import run_distributed_campaign
+    from repro.faults.campaign import CampaignConfig, run_campaign
     from repro.telemetry.manifest import validate_campaign_manifest
 
     config = CampaignConfig(
@@ -164,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
               f"after {done} resumed-run trial(s)")
 
     print("phase 2: resume with 2 workers + mid-flight worker kill")
-    report = run_distributed_campaign(
+    report = run_campaign(
         config, workers=2, resume=journal, shards=2, chaos_hook=chaos,
     )
     info = report.resume_info

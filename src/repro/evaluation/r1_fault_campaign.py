@@ -48,19 +48,5 @@ def run(
     injections: int = 1000,
     seed: int = DEFAULT_SEED,
 ) -> Table:
-    """The R1 rate table (per fault site plus an overall row).
-
-    Runs through the streaming aggregation path
-    (:class:`repro.faults.distributed.StreamingCampaignReport`): trials
-    fold into fixed-size counters as they complete, so the experiment's
-    memory footprint is independent of the injection count.  The table
-    (and the fingerprint behind it) is byte-identical to the batch
-    path's - :func:`run_report` keeps the batch report for callers that
-    need per-trial records.
-    """
-    config = CampaignConfig(
-        seed=seed,
-        injections=injections,
-        benchmarks=tuple(names) if names else DEFAULT_BENCHMARKS,
-    )
-    return run_campaign(config, stream=True).rate_table()
+    """The R1 rate table (per fault site plus an overall row)."""
+    return run_report(names, injections=injections, seed=seed).rate_table()

@@ -46,11 +46,9 @@ _EXPORTS = {
     "random_spec": "repro.faults.models",
     "JournalError": "repro.faults.distributed",
     "RetryPolicy": "repro.faults.distributed",
-    "StreamingCampaignReport": "repro.faults.distributed",
     "TrialJournal": "repro.faults.distributed",
     "compose_fingerprints": "repro.faults.distributed",
     "recover_journal": "repro.faults.distributed",
-    "run_distributed_campaign": "repro.faults.distributed",
     "shard_schedule": "repro.faults.distributed",
 }
 
@@ -85,13 +83,11 @@ __all__ = [
     "JournalError",
     "Outcome",
     "RetryPolicy",
-    "StreamingCampaignReport",
     "TrialJournal",
     "TrialTimeoutError",
     "compose_fingerprints",
     "random_spec",
     "recover_journal",
     "run_campaign",
-    "run_distributed_campaign",
     "shard_schedule",
 ]

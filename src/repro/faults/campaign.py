@@ -24,29 +24,38 @@ INFRA_ERROR  the *infrastructure* failed the trial (worker death,
              the report instead of aborting the campaign
 ===========  ======================================================
 
-Determinism: all randomness flows through one seeded
-:class:`random.Random`; no wall-clock inputs are consulted.  Two runs
-with the same :class:`CampaignConfig` produce byte-identical reports
-(verified by :meth:`CampaignReport.fingerprint`).  That holds for
-parallel runs too: ``--workers N`` (``run_campaign(..., workers=N)``)
-draws the fault schedule serially, fans the trials out to worker
-processes, and reassembles results in schedule order, so the
-fingerprint matches the serial run bit for bit.
+Every campaign runs through one pipeline, :func:`run_campaign`:
+
+1. **schedule** - :func:`~repro.faults.distributed.shard_schedule`
+   runs the golden references and draws every fault serially from one
+   seeded :class:`random.Random` (no wall-clock inputs), then splits
+   the schedule into contiguous shards;
+2. **recovery** - when resuming, the journal's completed trials fold
+   straight into the aggregate, without re-execution;
+3. **supervisor** - :class:`~repro.faults.distributed.TrialSupervisor`
+   executes the rest, in this process when ``workers <= 1`` (in numpy
+   lockstep chunks with ``batch_lanes``) and on a process pool
+   otherwise, with retries, and with a per-trial wall-clock deadline
+   when ``timeout_s`` is given;
+4. **journal and aggregator** - one sink appends each result to the
+   journal, if there is one, before folding it into the
+   :class:`~repro.faults.distributed.StreamingAggregator`;
+5. **report** - one :class:`CampaignReport` renders the rate table,
+   summary, fingerprint and manifest.
+
+The supervisor delivers results in schedule order, so two runs with
+the same :class:`CampaignConfig` produce byte-identical reports
+(:meth:`CampaignReport.fingerprint`) at any worker count, lane count or
+shard count, and across kill and resume.
 
 The fingerprint is an **ordered hash-of-hashes**: each injection
 record is canonically serialised and SHA-256 hashed
 (:func:`trial_digest`), and the campaign fingerprint is the SHA-256
 over the concatenated per-trial digests in schedule order
 (:class:`FingerprintStream`).  That construction is what lets sharded
-campaigns (:mod:`repro.faults.distributed`) compose per-shard
-fingerprints back into exactly the serial fingerprint, and lets the
-streaming aggregation path compute it in O(1) memory.
-
-Crash-safety and scale live in :mod:`repro.faults.distributed`:
-``run_campaign(journal=...)`` appends every completed trial to a
-crash-safe journal, ``run_campaign(resume=...)`` replays the journal
-and re-executes only the remainder, and ``shards``/``shard_index``
-split the schedule deterministically across processes or machines.
+campaigns compose per-shard fingerprints back into exactly the
+whole-campaign fingerprint, and lets the aggregator compute it in O(1)
+memory.
 
 CLI (used by the CI smoke campaign)::
 
@@ -61,16 +70,20 @@ import argparse
 import enum
 import hashlib
 import json
-import random
+import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.common.bitops import to_signed
 from repro.cpu.machine import HaltReason, RiscMachine
 from repro.evaluation.tables import Table
 from repro.faults.injector import FaultInjector
-from repro.faults.models import FaultSites, FaultSpec, FaultTarget, random_spec
+from repro.faults.models import FaultSites, FaultSpec, FaultTarget
+
+if TYPE_CHECKING:
+    from repro.faults.distributed import StreamingAggregator
 
 #: Benchmarks small enough that a 1000-injection campaign finishes in
 #: minutes on the Python-hosted simulator.
@@ -80,9 +93,9 @@ DEFAULT_BENCHMARKS = ("towers", "ackermann")
 #: software stack of every benchmark live there.
 MEMORY_FAULT_TOP = 1 << 16
 
-#: Default per-trial wall-clock budget (seconds) on the supervised
-#: (streaming/distributed) path.  A healthy trial finishes in well
-#: under a second; 60 s only fires when the host itself is wedged.
+#: Per-trial wall-clock budget (seconds) the CLI passes by default.  A
+#: healthy trial finishes in well under a second; 60 s only fires when
+#: the host itself is wedged.
 DEFAULT_TRIAL_TIMEOUT_S = 60.0
 
 #: How often (in steps) the trial loop consults the wall clock when a
@@ -236,7 +249,7 @@ class FingerprintStream:
     costs O(1) memory at any trial count, and a shard's contribution
     is exactly its ordered digest sequence - which is how
     :func:`repro.faults.distributed.compose_fingerprints` rebuilds the
-    serial fingerprint from per-shard journals.
+    whole-campaign fingerprint from per-shard journals.
     """
 
     def __init__(self) -> None:
@@ -259,205 +272,177 @@ class FingerprintStream:
         return self._outer.hexdigest()
 
 
-def rate_table_from_counts(
-    config: CampaignConfig,
-    by_target: dict[FaultTarget, Counter],
-    total_injections: int,
-) -> Table:
-    """Render the R1 rate table from per-target outcome tallies.
-
-    Shared by the batch (:class:`CampaignReport`) and streaming
-    (:class:`repro.faults.distributed.StreamingCampaignReport`)
-    aggregation paths, so both produce the identical table.
-    """
-    table = Table(
-        title=(
-            f"R1: fault campaign ({total_injections} injections, "
-            f"seed {config.seed})"
-        ),
-        headers=["fault site", "n", "masked", "detected", "SDC",
-                 "timeout", "crash", "infra", "det %", "SDC %"],
-    )
-
-    def row(label: str, counts: Counter) -> None:
-        """Append one labelled outcome-count row to the table."""
-        total = sum(counts.values())
-        table.add_row(
-            label,
-            total,
-            counts[Outcome.MASKED],
-            counts[Outcome.DETECTED],
-            counts[Outcome.SILENT_CORRUPTION],
-            counts[Outcome.TIMEOUT],
-            counts[Outcome.CRASH],
-            counts[Outcome.INFRA_ERROR],
-            round(100.0 * counts[Outcome.DETECTED] / total, 1) if total else 0.0,
-            round(100.0 * counts[Outcome.SILENT_CORRUPTION] / total, 1)
-            if total else 0.0,
-        )
-
-    overall: Counter = Counter()
-    for target in config.targets:
-        counts = by_target.get(target, Counter())
-        overall.update(counts)
-        if sum(counts.values()) == 0:
-            continue
-        row(target.value, counts)
-    row("all", overall)
-    table.notes.append("benchmarks: " + ", ".join(config.benchmarks))
-    table.notes.append(
-        "DETECTED = structured trap; SDC = wrong result with clean halt; "
-        "infra = quarantined infrastructure failure"
-    )
-    return table
-
-
-def summary_from_counts(
-    config: CampaignConfig,
-    overall: Counter,
-    total_injections: int,
-    fingerprint: str,
-) -> dict:
-    """Aggregate outcome counts plus the campaign fingerprint."""
-    return {
-        "seed": config.seed,
-        "injections": total_injections,
-        "benchmarks": list(config.benchmarks),
-        "masked": overall[Outcome.MASKED],
-        "detected": overall[Outcome.DETECTED],
-        "silent_corruption": overall[Outcome.SILENT_CORRUPTION],
-        "timeout": overall[Outcome.TIMEOUT],
-        "crash": overall[Outcome.CRASH],
-        "infra_error": overall[Outcome.INFRA_ERROR],
-        "fingerprint": fingerprint,
-    }
-
-
-def campaign_manifest_doc(
-    config: CampaignConfig,
-    golden: dict[str, "GoldenRun"],
-    by_target: dict[FaultTarget, Counter],
-    summary: dict,
-    *,
-    shards: dict | None = None,
-    resume: dict | None = None,
-    events: dict | None = None,
-) -> dict:
-    """Build the canonical campaign-manifest document (v2 schema).
-
-    Deterministic for a fixed config: neither host facts nor file paths
-    appear.  ``shards`` and ``resume`` default to the values of an
-    uninterrupted single-shard run so the key structure - gated by
-    ``ci/check_manifest.py`` - is identical however the campaign ran.
-    """
-    from repro.telemetry.manifest import CAMPAIGN_SCHEMA
-
-    if shards is None:
-        shards = {
-            "count": 1,
-            "sizes": [summary["injections"]],
-            "fingerprints": [summary["fingerprint"]],
-        }
-    if resume is None:
-        resume = {
-            "resumed_trials": 0,
-            "executed_trials": summary["injections"],
-            "retries": 0,
-            "timeouts": 0,
-            "infra_errors": summary["infra_error"],
-            "pool_restarts": 0,
-        }
-    return {
-        "schema": CAMPAIGN_SCHEMA,
-        "config": config_dict(config),
-        "golden": {
-            name: {
-                "result": run.result,
-                "instructions": run.instructions,
-                "cycles": run.cycles,
-            }
-            for name, run in sorted(golden.items())
-        },
-        "outcomes_by_target": {
-            target.value: {
-                outcome.value: counts[outcome]
-                for outcome in Outcome if counts[outcome]
-            }
-            for target, counts in sorted(
-                by_target.items(), key=lambda kv: kv[0].value
-            )
-        },
-        "shards": shards,
-        "resume": resume,
-        "events": dict(events or {}),
-        "summary": summary,
-    }
-
-
 @dataclass
 class CampaignReport:
-    """All injections of one campaign plus the golden references."""
+    """The aggregate of one campaign, plus its per-trial results if kept.
+
+    Attributes:
+        config: the campaign configuration.
+        golden: benchmark name -> :class:`GoldenRun` reference.
+        aggregate: the folded
+            :class:`~repro.faults.distributed.StreamingAggregator`
+            (outcome tallies and fingerprints in O(1) memory).
+        resume_info: operational counters of this execution
+            (``resumed_trials``, ``executed_trials``, ``retries``,
+            ``timeouts``, ``infra_errors``, ``pool_restarts``).
+        n_shards: shard count of the schedule partition.
+        results: every :class:`InjectionResult` in schedule order, kept
+            only when no journal holds the trials (None otherwise).
+        journal: path of the journal holding the trials, or None.
+    """
 
     config: CampaignConfig
     golden: dict[str, GoldenRun]
-    results: list[InjectionResult] = field(default_factory=list)
+    aggregate: "StreamingAggregator"
+    resume_info: dict
+    n_shards: int = 1
+    results: list[InjectionResult] | None = None
+    journal: str | None = None
 
-    # -- aggregation -------------------------------------------------------
+    @property
+    def count(self) -> int:
+        """Trials folded into this report."""
+        return self.aggregate.count
 
     def outcome_counts(self) -> Counter:
-        """Tally of results by outcome across the whole campaign."""
-        return Counter(result.outcome for result in self.results)
+        """Tally of trials by outcome across the whole campaign."""
+        return Counter(self.aggregate.overall)
 
     def counts_by_target(self) -> dict[FaultTarget, Counter]:
-        """Per-fault-target tallies of results by outcome."""
-        table: dict[FaultTarget, Counter] = {}
-        for result in self.results:
-            table.setdefault(result.spec.target, Counter())[result.outcome] += 1
-        return table
+        """Per-fault-target tallies of trials by outcome."""
+        return {
+            target: Counter(counts)
+            for target, counts in self.aggregate.by_target.items()
+        }
 
     def rate_table(self) -> Table:
         """Detection / silent-corruption / crash rates per fault site."""
-        return rate_table_from_counts(
-            self.config, self.counts_by_target(), len(self.results)
+        table = Table(
+            title=(
+                f"R1: fault campaign ({self.count} injections, "
+                f"seed {self.config.seed})"
+            ),
+            headers=["fault site", "n", "masked", "detected", "SDC",
+                     "timeout", "crash", "infra", "det %", "SDC %"],
         )
 
+        def row(label: str, counts: Counter) -> None:
+            """Append one labelled outcome-count row to the table."""
+            total = sum(counts.values())
+            table.add_row(
+                label,
+                total,
+                counts[Outcome.MASKED],
+                counts[Outcome.DETECTED],
+                counts[Outcome.SILENT_CORRUPTION],
+                counts[Outcome.TIMEOUT],
+                counts[Outcome.CRASH],
+                counts[Outcome.INFRA_ERROR],
+                round(100.0 * counts[Outcome.DETECTED] / total, 1)
+                if total else 0.0,
+                round(100.0 * counts[Outcome.SILENT_CORRUPTION] / total, 1)
+                if total else 0.0,
+            )
+
+        for target in self.config.targets:
+            counts = self.aggregate.by_target.get(target, Counter())
+            if sum(counts.values()):
+                row(target.value, counts)
+        row("all", self.aggregate.overall)
+        table.notes.append("benchmarks: " + ", ".join(self.config.benchmarks))
+        table.notes.append(
+            "DETECTED = structured trap; SDC = wrong result with clean halt; "
+            "infra = quarantined infrastructure failure"
+        )
+        return table
+
     def as_records(self) -> list[dict]:
-        """JSON-friendly rows, one per injection."""
-        return [injection_record(result) for result in self.results]
+        """JSON-friendly rows, one per injection, in schedule order.
+
+        Built from :attr:`results` when they were kept, else read back
+        from the journal.
+        """
+        if self.results is not None:
+            return [injection_record(result) for result in self.results]
+        from repro.faults.distributed import recover_journal
+
+        records: list[dict] = []
+        recover_journal(
+            self.journal,
+            sink=lambda index, attempt, record: records.append(record),
+        )
+        return records
 
     def fingerprint(self) -> str:
         """Ordered hash-of-hashes over every injection record.
 
-        Equal <=> bit-identical campaigns.  The construction (SHA-256
-        over concatenated per-trial SHA-256 digests, in schedule order)
-        is shared with the streaming and sharded paths, so a resumed,
-        sharded, or worker-pool campaign that executed the same trials
-        reports the identical fingerprint.
+        Equal <=> bit-identical campaigns: SHA-256 over the concatenated
+        per-trial SHA-256 digests, in schedule order, so a resumed,
+        sharded, batched or worker-pool campaign that executed the same
+        trials reports the identical fingerprint.
         """
-        stream = FingerprintStream()
-        for result in self.results:
-            stream.add_record(injection_record(result))
-        return stream.hexdigest()
+        return self.aggregate.fingerprint()
 
     def summary(self) -> dict:
         """Aggregate outcome counts plus the campaign fingerprint."""
-        return summary_from_counts(
-            self.config, self.outcome_counts(), len(self.results),
-            self.fingerprint(),
-        )
+        overall = self.aggregate.overall
+        return {
+            "seed": self.config.seed,
+            "injections": self.count,
+            "benchmarks": list(self.config.benchmarks),
+            "masked": overall[Outcome.MASKED],
+            "detected": overall[Outcome.DETECTED],
+            "silent_corruption": overall[Outcome.SILENT_CORRUPTION],
+            "timeout": overall[Outcome.TIMEOUT],
+            "crash": overall[Outcome.CRASH],
+            "infra_error": overall[Outcome.INFRA_ERROR],
+            "fingerprint": self.fingerprint(),
+        }
 
     def manifest(self) -> dict:
-        """Canonical campaign-manifest document (JSON-serialisable).
+        """Canonical campaign-manifest document (v2, JSON-serialisable).
 
-        Same determinism contract as :meth:`fingerprint`: two campaigns
-        with the same :class:`CampaignConfig` produce byte-identical
-        manifests, whatever the worker count.  The schema mirrors the
-        run manifest (``docs/OBSERVABILITY.md``); single-run manifests
-        link back through their ``campaign`` section's ``fingerprint``.
+        Neither host facts nor file paths appear, so two campaigns with
+        the same :class:`CampaignConfig` produce byte-identical
+        manifests at any worker or lane count; the ``resume`` section
+        is operational by design (a resumed run reports its resumed
+        count) while ``summary.fingerprint`` stays byte-identical.  The
+        schema mirrors the run manifest (``docs/OBSERVABILITY.md``);
+        single-run manifests link back through their ``campaign``
+        section's ``fingerprint``.
         """
-        return campaign_manifest_doc(
-            self.config, self.golden, self.counts_by_target(), self.summary()
-        )
+        from repro.telemetry.manifest import CAMPAIGN_SCHEMA
+
+        return {
+            "schema": CAMPAIGN_SCHEMA,
+            "config": config_dict(self.config),
+            "golden": {
+                name: {
+                    "result": run.result,
+                    "instructions": run.instructions,
+                    "cycles": run.cycles,
+                }
+                for name, run in sorted(self.golden.items())
+            },
+            "outcomes_by_target": {
+                target.value: {
+                    outcome.value: counts[outcome]
+                    for outcome in Outcome if counts[outcome]
+                }
+                for target, counts in sorted(
+                    self.aggregate.by_target.items(),
+                    key=lambda kv: kv[0].value,
+                )
+            },
+            "shards": {
+                "count": self.n_shards,
+                "sizes": self.aggregate.shard_sizes(),
+                "fingerprints": self.aggregate.shard_fingerprints(),
+            },
+            "resume": dict(self.resume_info),
+            "events": dict(self.aggregate.event_counts),
+            "summary": self.summary(),
+        }
 
 
 def _golden_run(name: str) -> tuple[GoldenRun, "object"]:
@@ -526,13 +511,19 @@ def _classify(
 
 def _run_injection(
     machine: RiscMachine,
-    checkpoint,
-    golden: GoldenRun,
-    spec: FaultSpec,
-    budget: int,
+    trial,
+    *,
+    steps: int = 0,
+    pc_hits: dict[int, int] | None = None,
     deadline: float | None = None,
 ) -> InjectionResult:
-    """Replay one faulted run from *checkpoint* and classify it.
+    """Run *trial*'s fault on *machine* from its current state; classify.
+
+    The one trial loop: a scalar trial restores its checkpoint and calls
+    this with ``steps=0``; a lane peeled out of a lockstep chunk
+    (:mod:`repro.faults.batchmode`) calls it with the steps it already
+    ran and the trigger-PC visits its injector would have counted
+    (*pc_hits*).
 
     When *deadline* (a ``time.monotonic()`` timestamp) is given, the
     loop consults the wall clock every 1024 steps - the same pattern as
@@ -541,10 +532,9 @@ def _run_injection(
     CRASH classification on purpose: a host stall is an infrastructure
     failure for the supervisor, not a simulator finding.
     """
-    machine.restore(checkpoint)
-    injector = FaultInjector(machine, [spec])
+    golden, spec, budget = trial.golden, trial.spec, trial.budget
+    injector = FaultInjector(machine, [spec], pc_hits=pc_hits)
     injector.attach()
-    steps = 0
     try:
         while machine.halted is None and steps < budget:
             if (
@@ -563,85 +553,48 @@ def _run_injection(
     except TrialTimeoutError:
         raise
     except Exception as exc:  # noqa: BLE001 - a crash IS the finding
-        return _crash_result(golden, spec, steps, exc)
+        return InjectionResult(
+            benchmark=golden.benchmark,
+            spec=spec,
+            outcome=Outcome.CRASH,
+            halt="EXCEPTION",
+            trap_cause=None,
+            instructions=steps,
+            result=None,
+            detail=f"{type(exc).__name__}: {exc}",
+        )
     finally:
         injector.detach()
 
 
-def _crash_result(
-    golden: GoldenRun, spec: FaultSpec, steps: int, exc: Exception
-) -> InjectionResult:
-    """A CRASH-classified trial: the simulator itself raised."""
-    return InjectionResult(
-        benchmark=golden.benchmark,
-        spec=spec,
-        outcome=Outcome.CRASH,
-        halt="EXCEPTION",
-        trap_cause=None,
-        instructions=steps,
-        result=None,
-        detail=f"{type(exc).__name__}: {exc}",
-    )
-
-
-def _campaign_schedule(
-    config: CampaignConfig, goldens: dict[str, GoldenRun]
-) -> list[tuple[GoldenRun, FaultSpec, int]]:
-    """Draw every fault of the campaign, in the canonical order.
-
-    All randomness flows through one generator seeded with
-    ``config.seed``, and golden runs never consult it, so the spec
-    stream here is identical whether the trials later execute serially,
-    on a worker pool, or sharded across machines.  Populates *goldens*
-    as a side effect.
-    """
-    rng = random.Random(config.seed)
-    schedule: list[tuple[GoldenRun, FaultSpec, int]] = []
-    share, extra = divmod(config.injections, len(config.benchmarks))
-    for index, name in enumerate(config.benchmarks):
-        count = share + (1 if index < extra else 0)
-        if count == 0:
-            continue
-        golden, _compiled = _golden_run(name)
-        goldens[name] = golden
-        budget = int(golden.instructions * config.step_budget_factor)
-        budget += config.step_budget_slack
-        for _ in range(count):
-            spec = random_spec(rng, golden.sites, targets=config.targets)
-            schedule.append((golden, spec, budget))
-    return schedule
-
-
-#: Per-worker-process replay state: benchmark name -> (machine, checkpoint).
-_POOL_STATE: dict = {}
-
-
-def _benchmark_state(name: str) -> tuple[RiscMachine, object]:
-    """The per-process (machine, delta checkpoint) pair for *name*.
-
-    Lazily built and cached in :data:`_POOL_STATE`; the compile is
-    deterministic (and usually inherited from the parent's compile
-    cache under a fork start method), so every process replays trials
-    from the same image the serial path uses.
-    """
-    state = _POOL_STATE.get(name)
-    if state is None:
-        from repro.workloads import benchmark
-        from repro.workloads.cache import compile_cached
-
-        compiled = compile_cached(benchmark(name).source)
-        machine = compiled.make_machine()
-        machine.reset(compiled.program.entry)
-        checkpoint = machine.checkpoint(track_memory_deltas=True)
-        _POOL_STATE[name] = state = (machine, checkpoint)
-    return state
-
-
-def _pool_injection(task) -> InjectionResult:
-    """Worker-side trial: lazily build the benchmark machine, then replay."""
-    golden, spec, budget = task
-    machine, checkpoint = _benchmark_state(golden.benchmark)
-    return _run_injection(machine, checkpoint, golden, spec, budget)
+def _publish_metrics(registry, report: CampaignReport, syncs: int) -> None:
+    """Record the ``campaign.*`` operational counters on *registry*."""
+    info = report.resume_info
+    counters = {
+        "campaign.trials": (
+            report.count, "trials folded into the campaign aggregate"
+        ),
+        "campaign.trials_resumed": (
+            info["resumed_trials"], "trials replayed from a journal, not executed"
+        ),
+        "campaign.retries": (
+            info["retries"], "trial attempts re-dispatched after failure"
+        ),
+        "campaign.timeouts": (
+            info["timeouts"], "trial attempts killed by the wall-clock deadline"
+        ),
+        "campaign.infra_errors": (
+            info["infra_errors"], "trials quarantined after exhausting retries"
+        ),
+        "campaign.pool_restarts": (
+            info["pool_restarts"], "worker-pool rebuilds after a dead worker"
+        ),
+        "campaign.journal_syncs": (
+            syncs, "fsync barriers issued by the trial journal"
+        ),
+    }
+    for name, (value, help_text) in counters.items():
+        registry.counter(name, help_text).inc(value)
 
 
 def run_campaign(
@@ -653,128 +606,187 @@ def run_campaign(
     resume: str | None = None,
     shards: int | None = None,
     shard_index: int | None = None,
-    stream: bool = False,
     timeout_s: float | None = None,
     retry=None,
     registry=None,
     batch_lanes: int | None = None,
-):
-    """Execute the campaign described by *config* deterministically.
+    event_writer=None,
+    chaos_hook=None,
+) -> CampaignReport:
+    """Execute (or resume) the campaign described by *config*.
 
-    With ``workers`` > 1 the trials run on a ``multiprocessing`` pool:
-    the fault schedule is still drawn serially (identical RNG stream),
-    trials are distributed in schedule order, and results are collected
-    by index - so a parallel campaign is byte-identical (same
-    :meth:`CampaignReport.fingerprint`) to the serial one, just faster.
+    The options change how the trials execute and survive failure,
+    never which trials run or what they produce: the fingerprint is the
+    same under every combination.
 
-    Any of the crash-safety options route the campaign through the
-    supervised streaming path (:mod:`repro.faults.distributed`) and
-    return a
-    :class:`~repro.faults.distributed.StreamingCampaignReport`:
+    Args:
+        config: the campaign to execute.
+        progress: optional ``(benchmark, done, total)`` callback,
+            invoked every 100 folded trials.
+        workers: process-pool size; None or <= 1 runs the trials in
+            this process.
+        journal: path for a fresh crash-safe trial journal (refuses to
+            overwrite an existing file); ``kill -9`` loses at most the
+            trial in flight.
+        resume: path of an existing journal to recover; its completed
+            trials fold without re-execution and new completions are
+            appended to the same file.  Mutually exclusive with
+            *journal*.
+        shards: contiguous shard count of the schedule partition
+            (default 1); per-shard fingerprints compose to the campaign
+            fingerprint via
+            :func:`~repro.faults.distributed.compose_fingerprints`.
+        shard_index: execute only this shard.
+        timeout_s: per-trial wall-clock budget in seconds (finite,
+            > 0); no deadline is armed when None.
+        retry: :class:`~repro.faults.distributed.RetryPolicy`; the
+            default allows 3 attempts per trial.
+        registry: optional :class:`~repro.telemetry.MetricsRegistry`
+            receiving the ``campaign.*`` counters.
+        batch_lanes: > 1 runs the trials in numpy lockstep chunks of
+            that many lanes (:mod:`repro.faults.batchmode`), or scalar
+            when numpy is not installed.  Needs ``workers <= 1``.
+        event_writer: optional
+            :class:`~repro.telemetry.events.JsonlEventWriter`; receives
+            one ``trial`` event per completion, ``retry`` events from
+            the supervisor, and a ``resume`` event when recovering.
+        chaos_hook: test/CI-only ``(done, worker_pids)`` callback run
+            after each trial (used to SIGKILL a live worker).
 
-    * ``journal`` - append every completed trial to a crash-safe JSONL
-      journal at this path (``kill -9`` loses at most one trial);
-    * ``resume`` - replay completed trials from this journal, execute
-      only the remainder, and keep appending to it;
-    * ``shards`` / ``shard_index`` - deterministic contiguous sharding
-      of the schedule (per-shard fingerprints compose to the serial
-      fingerprint); ``shard_index`` restricts execution to one shard;
-    * ``stream`` - force streaming aggregation (O(1) memory; no
-      per-trial result list is retained);
-    * ``timeout_s`` / ``retry`` - per-trial wall-clock budget and
-      :class:`~repro.faults.distributed.RetryPolicy` for worker
-      supervision;
-    * ``registry`` - a :class:`~repro.telemetry.MetricsRegistry`
-      receiving the ``campaign.*`` operational counters.
+    Returns:
+        A :class:`CampaignReport`; it keeps the per-trial ``results``
+        in memory only when no journal holds them.
 
-    Either way the executed trials - and therefore the fingerprint -
-    are identical; the options only change how the campaign survives
-    infrastructure failure.
-
-    ``batch_lanes`` > 1 routes the trials through the numpy lockstep
-    executor (:mod:`repro.faults.batchmode`): chunks of that many trials
-    share one vectorized golden prefix and peel to scalar machines when
-    their faults fire.  Still byte-identical (same fingerprint); falls
-    back to the serial path silently when numpy is not installed.  Not
-    combinable with the worker-pool or supervised streaming paths.
+    Raises:
+        ValueError: contradictory or out-of-range options.
+        CampaignInterrupted: Ctrl-C (the journal is flushed and closed
+            first, so the run is resumable).
+        JournalError: *resume* names a journal of a different campaign.
     """
-    distributed = (
-        stream
-        or journal is not None
-        or resume is not None
-        or shard_index is not None
-        or (shards is not None and shards > 1)
-        or timeout_s is not None
-        or retry is not None
-        or registry is not None
+    from repro.faults.distributed import (
+        StreamingAggregator,
+        TrialJournal,
+        TrialSupervisor,
+        shard_schedule,
     )
-    if distributed:
-        from repro.faults.distributed import run_distributed_campaign
 
-        return run_distributed_campaign(
-            config,
-            workers=workers,
-            journal=journal,
-            resume=resume,
-            shards=shards or 1,
-            shard_index=shard_index,
-            timeout_s=(
-                DEFAULT_TRIAL_TIMEOUT_S if timeout_s is None else timeout_s
-            ),
-            retry=retry,
-            registry=registry,
-            progress=progress,
+    shards = shards or 1
+    if journal is not None and resume is not None:
+        raise ValueError(
+            "pass either journal= (fresh) or resume= (recover), not both"
+        )
+    if shard_index is not None and not 0 <= shard_index < shards:
+        raise ValueError(
+            f"shard_index {shard_index} out of range for {shards} shard(s)"
+        )
+    if timeout_s is not None and not (timeout_s > 0 and math.isfinite(timeout_s)):
+        raise ValueError(
+            f"timeout_s must be a finite number of seconds > 0, got {timeout_s}"
+        )
+    lockstep = batch_lanes is not None and batch_lanes > 1
+    if lockstep and workers is not None and workers > 1:
+        raise ValueError(
+            "batch_lanes runs the trials in this process; "
+            "it does not combine with workers > 1"
         )
 
-    if batch_lanes is not None and batch_lanes > 1 and (
-        workers is None or workers <= 1
-    ):
-        from repro.cpu.batch import BatchUnavailableError
-        from repro.faults.batchmode import run_batch_campaign
+    plan = shard_schedule(config, shards)
+    if shard_index is None:
+        trials, bounds = plan.trials, plan.bounds
+    else:
+        trials, bounds = plan.shard(shard_index), (plan.bounds[shard_index],)
+    aggregate = StreamingAggregator(
+        config, (trial.index for trial in trials), bounds
+    )
 
-        try:
-            return run_batch_campaign(
-                config, lanes=batch_lanes, progress=progress
-            )
-        except BatchUnavailableError:
-            pass  # numpy absent: the serial path below is the fallback
-    goldens: dict[str, GoldenRun] = {}
-    report = CampaignReport(config=config, golden=goldens)
-    schedule = _campaign_schedule(config, goldens)
-    if workers is not None and workers > 1:
-        import multiprocessing
-
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # platforms without fork
-            ctx = multiprocessing.get_context("spawn")
-        chunksize = max(1, len(schedule) // (workers * 8))
-        with ctx.Pool(processes=workers) as pool:
-            try:
-                for done, result in enumerate(
-                    pool.imap(_pool_injection, schedule, chunksize=chunksize), 1
-                ):
-                    report.results.append(result)
-                    if progress is not None and done % 100 == 0:
-                        progress(result.benchmark, done, len(schedule))
-            except KeyboardInterrupt:
-                # Terminate the pool cleanly, then surface a structured
-                # interruption (no journal on the legacy path, so the
-                # completed prefix is lost - the message says so).
-                pool.terminate()
-                raise CampaignInterrupted(
-                    completed=len(report.results),
-                    total=len(schedule),
-                    journal=None,
-                ) from None
-        return report
-    for done, (golden, spec, budget) in enumerate(schedule, 1):
-        machine, checkpoint = _benchmark_state(golden.benchmark)
-        report.results.append(
-            _run_injection(machine, checkpoint, golden, spec, budget)
+    jour = None
+    if resume is not None:
+        jour, recovery = TrialJournal.resume(
+            resume, config,
+            sink=lambda index, attempt, record: aggregate.add(index, record),
         )
-        if progress is not None and done % 100 == 0:
-            progress(golden.benchmark, done, len(schedule))
+        if event_writer is not None:
+            event_writer.write({
+                "event": "resume",
+                "journal": resume,
+                "completed": recovery.completed,
+                "torn_lines": recovery.torn_lines,
+            })
+    elif journal is not None:
+        jour = TrialJournal.create(journal, config)
+    # The aggregate accepts trials only in schedule order, so the
+    # recovered trials are exactly a prefix of the schedule.
+    resumed = aggregate.count
+    remaining = trials[resumed:]
+    results: list[InjectionResult] | None = [] if jour is None else None
+
+    def sink(index: int, result: InjectionResult, attempts: int) -> None:
+        """Write-ahead journal (or keep) one completed trial, then fold it."""
+        record = injection_record(result)
+        if jour is not None:
+            jour.append(index, record, attempt=attempts)
+        else:
+            results.append(result)
+        aggregate.add(index, record)
+        if event_writer is not None:
+            event_writer.write({
+                "event": "trial",
+                "trial": index,
+                "attempt": attempts,
+                "benchmark": result.benchmark,
+                "outcome": result.outcome.value,
+            })
+        if progress is not None and aggregate.count % 100 == 0:
+            progress(result.benchmark, aggregate.count, len(trials))
+
+    execute = None
+    if lockstep:
+        from repro.cpu.batch import available
+
+        if available():  # numpy absent: the trials run scalar
+            from repro.faults.batchmode import LockstepExecutor
+
+            execute = LockstepExecutor(remaining, batch_lanes)
+    supervisor = TrialSupervisor(
+        workers=workers,
+        timeout_s=timeout_s,
+        policy=retry,
+        execute=execute,
+        event_writer=event_writer,
+        chaos_hook=chaos_hook,
+    )
+    try:
+        stats = supervisor.run(remaining, sink)
+    except KeyboardInterrupt:
+        # Every completed trial is already fsynced; the finally below
+        # closes the journal, so the run is resumable as-is.
+        raise CampaignInterrupted(
+            completed=aggregate.count,
+            total=len(trials),
+            journal=jour.path if jour is not None else None,
+        ) from None
+    finally:
+        if jour is not None:
+            jour.close()
+
+    report = CampaignReport(
+        config,
+        plan.goldens,
+        aggregate,
+        resume_info={
+            "resumed_trials": resumed,
+            "executed_trials": stats.executed,
+            "retries": stats.retries,
+            "timeouts": stats.timeouts,
+            "infra_errors": aggregate.overall[Outcome.INFRA_ERROR],
+            "pool_restarts": stats.pool_restarts,
+        },
+        n_shards=shards,
+        results=results,
+        journal=jour.path if jour is not None else None,
+    )
+    if registry is not None:
+        _publish_metrics(registry, report, jour.syncs if jour is not None else 0)
     return report
 
 
@@ -796,6 +808,21 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_seconds(text: str) -> float:
+    """Argparse type: a finite number of seconds > 0 (clear error otherwise)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number of seconds, got {text!r}"
+        ) from None
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number of seconds > 0, got {text}"
+        )
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.faults.campaign",
@@ -806,7 +833,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers", type=_positive_int, default=1,
         help="run trials on N worker processes (results stay byte-identical "
-             "to the serial run; default 1 = serial)",
+             "to the in-process run; default 1 = in-process)",
     )
     parser.add_argument(
         "--benchmarks", default=",".join(DEFAULT_BENCHMARKS),
@@ -816,13 +843,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--batch-lanes", type=_positive_int, default=1,
         help="run trials through the numpy lockstep executor in chunks "
              "of N lanes (byte-identical fingerprint; default 1 = "
-             "scalar; ignored with --workers > 1 or streaming flags; "
-             "falls back to scalar when numpy is missing)",
+             "scalar; needs --workers 1; falls back to scalar when "
+             "numpy is missing)",
     )
     parser.add_argument(
         "--shards", type=_positive_int, default=1,
         help="deterministically shard the schedule into N contiguous "
-             "shards; per-shard fingerprints compose to the serial one",
+             "shards; per-shard fingerprints compose to the unsharded one",
     )
     parser.add_argument(
         "--shard-index", type=int, default=None,
@@ -840,15 +867,10 @@ def _build_parser() -> argparse.ArgumentParser:
              "the remainder, and keep appending to it",
     )
     parser.add_argument(
-        "--stream", action="store_true",
-        help="use streaming aggregation (O(1) memory; implied by "
-             "--journal/--resume/--shards > 1)",
-    )
-    parser.add_argument(
-        "--timeout-s", type=float, default=DEFAULT_TRIAL_TIMEOUT_S,
-        help="per-trial wall-clock budget in seconds on the supervised "
-             f"path; timed-out trials are retried then quarantined as "
-             f"INFRA_ERROR (default {DEFAULT_TRIAL_TIMEOUT_S:.0f})",
+        "--timeout-s", type=_positive_seconds, default=DEFAULT_TRIAL_TIMEOUT_S,
+        help="per-trial wall-clock budget in seconds; timed-out trials "
+             "are retried then quarantined as INFRA_ERROR "
+             f"(default {DEFAULT_TRIAL_TIMEOUT_S:.0f})",
     )
     parser.add_argument(
         "--retries", type=_positive_int, default=3,
@@ -875,17 +897,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _streaming_requested(args) -> bool:
-    """Whether the CLI flags route through the supervised streaming path."""
-    return bool(
-        args.stream
-        or args.journal
-        or args.resume
-        or args.shards > 1
-        or args.shard_index is not None
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; see ``--help`` for flags."""
     parser = _build_parser()
@@ -894,6 +905,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(
             f"--shard-index must be in [0, {args.shards}) "
             f"(got {args.shard_index})"
+        )
+    if args.batch_lanes > 1 and args.workers > 1:
+        parser.error(
+            "--batch-lanes runs the trials in one process; "
+            "it does not combine with --workers > 1"
         )
     config = CampaignConfig(
         seed=args.seed,
@@ -905,17 +921,8 @@ def main(argv: list[str] | None = None) -> int:
         """Per-benchmark progress line."""
         print(f"  {name}: {done}/{total} injections")
 
-    streaming = _streaming_requested(args)
-
     def execute(*, resume: str | None, journal: str | None):
-        """One campaign run with the CLI's supervision options."""
-        if not streaming:
-            return run_campaign(
-                config,
-                progress=progress,
-                workers=args.workers,
-                batch_lanes=args.batch_lanes,
-            )
+        """One campaign run with the CLI's options."""
         from repro.faults.distributed import RetryPolicy
 
         return run_campaign(
@@ -926,9 +933,9 @@ def main(argv: list[str] | None = None) -> int:
             resume=resume,
             shards=args.shards,
             shard_index=args.shard_index,
-            stream=True,
             timeout_s=args.timeout_s,
             retry=RetryPolicy(max_attempts=args.retries, seed=args.seed),
+            batch_lanes=args.batch_lanes,
         )
 
     try:
@@ -937,7 +944,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"\n{exc.describe()}")
         return 130
     except KeyboardInterrupt:
-        print("\ncampaign interrupted; no journal was kept (use --journal)")
+        print("\ncampaign interrupted before its trials started")
         return 130
     print(report.rate_table().render())
     summary = report.summary()
@@ -993,46 +1000,18 @@ def main(argv: list[str] | None = None) -> int:
             handle.write("\n")
         print(f"wrote campaign manifest to {args.manifest}")
     if args.json:
-        records = _report_records(report, args.journal or args.resume)
-        if records is None:
-            failures.append(
-                "--json needs per-injection records: streaming reports "
-                "retain none, so pass --journal as well"
+        records = report.as_records()
+        with open(args.json, "w") as handle:
+            json.dump(
+                {"schema": "risc1-repro/fault-campaign/v1",
+                 "summary": summary, "records": records},
+                handle, indent=2,
             )
-        else:
-            with open(args.json, "w") as handle:
-                json.dump(
-                    {"schema": "risc1-repro/fault-campaign/v1",
-                     "summary": summary, "records": records},
-                    handle, indent=2,
-                )
-            print(f"wrote {len(records)} records to {args.json}")
+        print(f"wrote {len(records)} records to {args.json}")
 
     for failure in failures:
         print(f"FAIL: {failure}")
     return 1 if failures else 0
-
-
-def _report_records(report, journal_path: str | None) -> list[dict] | None:
-    """Per-injection records for ``--json``, from the report or journal.
-
-    Batch reports carry their records; streaming reports retain none,
-    so the records are re-read from the journal when one was written.
-    Returns None when no record source exists.
-    """
-    as_records = getattr(report, "as_records", None)
-    if callable(as_records):
-        return as_records()
-    if journal_path:
-        from repro.faults.distributed import recover_journal
-
-        records: list[dict] = []
-        recover_journal(
-            journal_path,
-            sink=lambda index, attempt, record: records.append(record),
-        )
-        return records
-    return None
 
 
 if __name__ == "__main__":

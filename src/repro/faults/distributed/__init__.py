@@ -1,29 +1,28 @@
 """Crash-safe, resumable, sharded fault campaigns.
 
-This package scales the fault-injection campaign of
-:mod:`repro.faults.campaign` from thousands of trials on one healthy
-process to millions of trials on infrastructure that fails:
+These are the stages of the one campaign pipeline behind
+:func:`repro.faults.campaign.run_campaign` - schedule, supervisor,
+journal, aggregator - which scales from a few trials in one process to
+millions of trials on infrastructure that fails:
 
-* :mod:`~repro.faults.distributed.sharding` - deterministic contiguous
-  sharding of the canonical schedule; per-shard fingerprints compose
-  to the serial campaign fingerprint.
+* :mod:`~repro.faults.distributed.sharding` - the campaign's schedule,
+  split deterministically into contiguous shards; per-shard
+  fingerprints compose to the whole-campaign fingerprint.
+* :mod:`~repro.faults.distributed.supervisor` - executes the trials in
+  this process or on a process pool, with optional per-trial wall-clock
+  timeouts, bounded retry with deterministic backoff jitter,
+  permanent-failure quarantine, and dead-worker pool recovery.
 * :mod:`~repro.faults.distributed.journal` - crash-safe JSONL trial
   journals (fsync per trial, atomic index sidecar, torn-tail recovery);
   ``kill -9`` loses at most the trial in flight.
-* :mod:`~repro.faults.distributed.supervisor` - per-trial wall-clock
-  timeouts, bounded retry with deterministic backoff jitter,
-  permanent-failure quarantine, and dead-worker pool recovery.
 * :mod:`~repro.faults.distributed.streaming` - O(1)-memory aggregation
-  into the same rate table / summary / fingerprint the batch report
-  produces.
-* :mod:`~repro.faults.distributed.runner` - the orchestrating
-  :func:`run_distributed_campaign` behind
-  ``run_campaign(journal=..., resume=..., shards=...)``.
+  into the rate table / summary / fingerprint of
+  :class:`~repro.faults.campaign.CampaignReport`.
 
 The load-bearing invariant across all of it: the *executed trials* are
 a pure function of the campaign config, so however a campaign is
-sharded, killed, resumed, or retried, its fingerprint is byte-identical
-to the uninterrupted serial run's.
+sharded, killed, resumed, retried, or parallelised, its fingerprint is
+byte-identical to the uninterrupted in-process run's.
 """
 
 from repro.faults.distributed.journal import (
@@ -36,7 +35,6 @@ from repro.faults.distributed.journal import (
     read_index,
     recover_journal,
 )
-from repro.faults.distributed.runner import run_distributed_campaign
 from repro.faults.distributed.sharding import (
     ShardedSchedule,
     Trial,
@@ -44,16 +42,13 @@ from repro.faults.distributed.sharding import (
     shard_bounds,
     shard_schedule,
 )
-from repro.faults.distributed.streaming import (
-    StreamingAggregator,
-    StreamingCampaignReport,
-)
+from repro.faults.distributed.streaming import StreamingAggregator
 from repro.faults.distributed.supervisor import (
     RetryPolicy,
     SupervisionStats,
     TrialSupervisor,
     execute_trial,
-    infra_record,
+    infra_result,
 )
 
 __all__ = [
@@ -65,17 +60,15 @@ __all__ = [
     "RetryPolicy",
     "ShardedSchedule",
     "StreamingAggregator",
-    "StreamingCampaignReport",
     "SupervisionStats",
     "Trial",
     "TrialJournal",
     "TrialSupervisor",
     "compose_fingerprints",
     "execute_trial",
-    "infra_record",
+    "infra_result",
     "read_index",
     "recover_journal",
-    "run_distributed_campaign",
     "shard_bounds",
     "shard_schedule",
 ]

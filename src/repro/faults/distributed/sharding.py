@@ -1,13 +1,14 @@
 """Deterministic sharding of a campaign's fault schedule.
 
-A shard is a *contiguous* slice of the canonical schedule: the full
-spec stream is drawn serially from the campaign RNG (exactly as the
-serial runner draws it - same generator, same order), then partitioned
-into ``n_shards`` balanced, order-preserving ranges.  Contiguity is
-what makes fingerprints compose: concatenating the shards' per-trial
-digest streams in shard order reproduces the serial digest stream, so
-:func:`compose_fingerprints` rebuilds exactly the serial
-:meth:`~repro.faults.campaign.CampaignReport.fingerprint`.
+:func:`shard_schedule` is the campaign's one schedule: it runs the
+golden references, draws the full spec stream serially from the
+campaign RNG, and partitions it into ``n_shards`` balanced,
+order-preserving ranges.  A shard is a *contiguous* slice, and
+contiguity is what makes fingerprints compose: concatenating the
+shards' per-trial digest streams in shard order reproduces the
+whole-campaign digest stream, so :func:`compose_fingerprints` rebuilds
+exactly the :meth:`~repro.faults.campaign.CampaignReport.fingerprint`
+of an unsharded run.
 
 Each shard can then run in its own process or on its own machine
 (``run_campaign(shard_index=i, shards=n, journal=...)``), journal its
@@ -16,6 +17,7 @@ trials independently, and be merged back without re-execution.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -23,9 +25,9 @@ from repro.faults.campaign import (
     CampaignConfig,
     FingerprintStream,
     GoldenRun,
-    _campaign_schedule,
+    _golden_run,
 )
-from repro.faults.models import FaultSpec
+from repro.faults.models import FaultSpec, random_spec
 
 __all__ = [
     "Trial",
@@ -41,7 +43,7 @@ class Trial:
     """One schedulable unit: a fault spec bound to its golden run.
 
     Attributes:
-        index: 0-based position in the canonical (serial) schedule;
+        index: 0-based position in the canonical schedule;
             doubles as the trial's identity in journals and shards.
         golden: the reference run of the trial's benchmark.
         spec: the fault to inject.
@@ -101,38 +103,39 @@ class ShardedSchedule:
         start, stop = self.bounds[index]
         return self.trials[start:stop]
 
-    def shard_of(self, trial_index: int) -> int:
-        """Which shard the trial at *trial_index* belongs to."""
-        for shard, (start, stop) in enumerate(self.bounds):
-            if start <= trial_index < stop:
-                return shard
-        raise IndexError(f"trial index {trial_index} outside the schedule")
-
-    def sizes(self) -> list[int]:
-        """Per-shard trial counts, in shard order."""
-        return [stop - start for start, stop in self.bounds]
-
 
 def shard_schedule(config: CampaignConfig, n_shards: int) -> ShardedSchedule:
     """Draw the campaign schedule and partition it into *n_shards*.
 
-    The trials are drawn serially from the campaign RNG - the byte-wise
-    identical spec stream the serial runner executes - so two calls
-    with the same config produce the same schedule, and the per-shard
+    The injections are split across the benchmarks (the first
+    ``injections % len(benchmarks)`` get one extra), each benchmark's
+    golden run is executed, and its faults are drawn from one generator
+    seeded with ``config.seed``.  Golden runs never consult that
+    generator, so two calls with the same config produce the same
+    schedule however the trials later execute, and the per-shard
     SHA-256 fingerprints compose (ordered hash-of-hashes via
-    :func:`compose_fingerprints`) to exactly the serial
+    :func:`compose_fingerprints`) to exactly the unsharded
     :meth:`~repro.faults.campaign.CampaignReport.fingerprint`.
     """
+    rng = random.Random(config.seed)
     goldens: dict[str, GoldenRun] = {}
-    schedule = _campaign_schedule(config, goldens)
-    trials = tuple(
-        Trial(index=index, golden=golden, spec=spec, budget=budget)
-        for index, (golden, spec, budget) in enumerate(schedule)
-    )
+    trials: list[Trial] = []
+    share, extra = divmod(config.injections, len(config.benchmarks))
+    for position, name in enumerate(config.benchmarks):
+        count = share + (1 if position < extra else 0)
+        if count == 0:
+            continue
+        golden, _compiled = _golden_run(name)
+        goldens[name] = golden
+        budget = int(golden.instructions * config.step_budget_factor)
+        budget += config.step_budget_slack
+        for _ in range(count):
+            spec = random_spec(rng, golden.sites, targets=config.targets)
+            trials.append(Trial(len(trials), golden, spec, budget))
     return ShardedSchedule(
         config=config,
         goldens=goldens,
-        trials=trials,
+        trials=tuple(trials),
         n_shards=n_shards,
         bounds=shard_bounds(len(trials), n_shards),
     )
@@ -144,8 +147,8 @@ def compose_fingerprints(shard_digests: Iterable[Iterable[str]]) -> str:
     *shard_digests* yields, **in shard order**, each shard's ordered
     per-trial digests (:func:`~repro.faults.campaign.trial_digest`).
     Because shards are contiguous slices of the schedule, the
-    concatenation is the serial digest stream, and the result equals
-    the uninterrupted serial run's
+    concatenation is the whole-campaign digest stream, and the result
+    equals the uninterrupted unsharded run's
     :meth:`~repro.faults.campaign.CampaignReport.fingerprint` - the
     byte-identity invariant the crash/resume CI gate enforces.
     """

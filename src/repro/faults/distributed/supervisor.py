@@ -1,12 +1,14 @@
 """Worker supervision: retries, timeouts, and dead-pool recovery.
 
-The supervisor sits between the sharded schedule and the trial
-executors and guarantees *progress* and *byte-identity* in the face of
-infrastructure failure:
+The supervisor sits between the campaign's schedule and its sink
+(journal + aggregator), executes every trial - in this process, or on
+a process pool when ``workers > 1`` - and guarantees *progress* and
+*byte-identity* in the face of infrastructure failure:
 
-* **per-trial wall-clock timeouts** - each trial runs with a monotonic
-  deadline; the trial step loop checks it every 1024 steps (the same
-  cadence as the machine's ``wall_clock_limit`` watchdog) and raises
+* **per-trial wall-clock timeouts** - when ``timeout_s`` is given,
+  each trial runs with a monotonic deadline; the trial step loop checks
+  it every 1024 steps (the same cadence as the machine's
+  ``wall_clock_limit`` watchdog) and raises
   :class:`~repro.faults.campaign.TrialTimeoutError` past it;
 * **bounded retry with exponential backoff + deterministic jitter** -
   transient failures (timeouts, worker exceptions) re-dispatch the
@@ -23,7 +25,7 @@ infrastructure failure:
   detects, rebuilds, and re-dispatches the in-flight window into.
 
 Trial *execution* is deterministic (same spec, same machine image =>
-same record), so none of this machinery can change a healthy
+same result), so none of this machinery can change a healthy
 campaign's fingerprint - it only decides how many times the host gets
 to fail before a trial is written off.
 """
@@ -38,10 +40,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.faults.campaign import (
+    InjectionResult,
+    Outcome,
     TrialTimeoutError,
-    _benchmark_state,
     _run_injection,
-    injection_record,
 )
 from repro.faults.distributed.sharding import Trial
 
@@ -50,11 +52,14 @@ __all__ = [
     "SupervisionStats",
     "TrialSupervisor",
     "execute_trial",
-    "infra_record",
+    "infra_result",
 ]
 
-#: A sink receives ``(trial_index, record, attempts)`` per finished trial.
-TrialSink = Callable[[int, dict, int], None]
+#: A sink receives ``(trial_index, result, attempts)`` per finished trial.
+TrialSink = Callable[[int, InjectionResult, int], None]
+
+#: Per-process replay state: benchmark name -> (machine, checkpoint).
+_MACHINES: dict = {}
 
 
 @dataclass(frozen=True)
@@ -113,57 +118,64 @@ class SupervisionStats:
     quarantined: dict[int, str] = field(default_factory=dict)
 
 
-def execute_trial(trial: Trial, timeout_s: float | None = None) -> dict:
-    """Run one trial in this process and return its canonical record.
+def _benchmark_state(name: str) -> tuple:
+    """This process's (machine, delta checkpoint) pair for *name*.
 
-    Uses the per-process machine cache (the same one the worker pool
-    uses), arms the wall-clock deadline when *timeout_s* is given, and
-    serialises the classification via
-    :func:`~repro.faults.campaign.injection_record`.
+    Built once per process and cached in :data:`_MACHINES`; the compile
+    is deterministic (and usually inherited from the parent's compile
+    cache under a fork start method), so every process replays trials
+    from the same image.
+    """
+    state = _MACHINES.get(name)
+    if state is None:
+        from repro.workloads import benchmark
+        from repro.workloads.cache import compile_cached
+
+        compiled = compile_cached(benchmark(name).source)
+        machine = compiled.make_machine()
+        machine.reset(compiled.program.entry)
+        checkpoint = machine.checkpoint(track_memory_deltas=True)
+        _MACHINES[name] = state = (machine, checkpoint)
+    return state
+
+
+def execute_trial(
+    trial: Trial, timeout_s: float | None = None
+) -> InjectionResult:
+    """Run one trial in this process from its benchmark's checkpoint.
+
+    Uses the per-process machine cache and arms the wall-clock deadline
+    only when *timeout_s* is given.
     """
     machine, checkpoint = _benchmark_state(trial.golden.benchmark)
     deadline = None if timeout_s is None else time.monotonic() + timeout_s
-    result = _run_injection(
-        machine, checkpoint, trial.golden, trial.spec, trial.budget,
-        deadline=deadline,
-    )
-    return injection_record(result)
+    machine.restore(checkpoint)
+    return _run_injection(machine, trial, deadline=deadline)
 
 
-def _worker_execute(payload) -> tuple[int, dict]:
-    """Pool-side entry point: run a trial, return ``(index, record)``."""
+def _worker_execute(payload) -> tuple[int, InjectionResult]:
+    """Pool-side entry point: run a trial, return ``(index, result)``."""
     trial, timeout_s = payload
     return trial.index, execute_trial(trial, timeout_s)
 
 
-def infra_record(trial: Trial, error: BaseException | str) -> dict:
-    """The quarantine record of a trial the infrastructure failed.
+def infra_result(trial: Trial, error: BaseException) -> InjectionResult:
+    """The quarantine result of a trial the infrastructure failed.
 
-    Mirrors :func:`~repro.faults.campaign.injection_record` so INFRA
-    quarantines flow through journals, fingerprints, and rate tables
-    exactly like architectural outcomes.
+    An ordinary :class:`~repro.faults.campaign.InjectionResult`, so
+    INFRA quarantines flow through journals, fingerprints, and rate
+    tables exactly like architectural outcomes.
     """
-    from repro.faults.campaign import Outcome
-
-    spec = trial.spec
-    return {
-        "benchmark": trial.golden.benchmark,
-        "target": spec.target.value,
-        "kind": spec.kind.value,
-        "location": spec.location,
-        "bits": list(spec.bits),
-        "trigger": spec.trigger.describe(),
-        "outcome": Outcome.INFRA_ERROR.value,
-        "halt": "INFRA_ERROR",
-        "trap_cause": None,
-        "instructions": 0,
-        "result": None,
-    }
-
-
-def _is_timeout(error: BaseException) -> bool:
-    """Whether *error* is (or wraps) a trial wall-clock timeout."""
-    return isinstance(error, TrialTimeoutError)
+    return InjectionResult(
+        benchmark=trial.golden.benchmark,
+        spec=trial.spec,
+        outcome=Outcome.INFRA_ERROR,
+        halt="INFRA_ERROR",
+        trap_cause=None,
+        instructions=0,
+        result=None,
+        detail=f"{type(error).__name__}: {error}",
+    )
 
 
 class TrialSupervisor:
@@ -171,15 +183,19 @@ class TrialSupervisor:
 
     Results are delivered to the sink **in schedule order** whatever
     the completion order, which is what lets the streaming aggregator
-    fold them with O(1) memory and reproduce the serial fingerprint.
+    fold them with O(1) memory and reproduce the same fingerprint at
+    any worker count.
 
     Args:
         workers: pool size; None or <= 1 executes in-process.
         timeout_s: per-trial wall-clock budget (None disables).
         policy: the :class:`RetryPolicy`; default allows 3 attempts.
         sleep: backoff sleep hook (injectable for tests).
-        execute: trial executor hook (injectable for tests); receives
-            ``(trial, timeout_s)`` and returns the canonical record.
+        execute: in-process trial executor (default
+            :func:`execute_trial`; the campaign passes the lockstep
+            executor of :mod:`repro.faults.batchmode`); receives
+            ``(trial, timeout_s)`` and returns its
+            :class:`~repro.faults.campaign.InjectionResult`.
         event_writer: optional
             :class:`~repro.telemetry.events.JsonlEventWriter` receiving
             ``retry`` events as supervision decisions happen.
@@ -198,7 +214,7 @@ class TrialSupervisor:
         timeout_s: float | None = None,
         policy: RetryPolicy | None = None,
         sleep: Callable[[float], None] = time.sleep,
-        execute: Callable[[Trial, float | None], dict] | None = None,
+        execute: Callable[[Trial, float | None], InjectionResult] | None = None,
         event_writer=None,
         chaos_hook: Callable[[int, list[int]], None] | None = None,
     ) -> None:
@@ -215,16 +231,16 @@ class TrialSupervisor:
 
     def _note_failure(
         self, trial: Trial, attempts: int, error: BaseException
-    ) -> dict | None:
-        """Account one failed attempt; returns a quarantine record when
+    ) -> InjectionResult | None:
+        """Account one failed attempt; returns a quarantine result when
         the trial is out of attempts, else None (meaning: retry)."""
-        if _is_timeout(error):
+        if isinstance(error, TrialTimeoutError):
             self.stats.timeouts += 1
         if attempts >= self.policy.max_attempts:
             self.stats.infra_errors += 1
-            detail = f"{type(error).__name__}: {error}"
-            self.stats.quarantined[trial.index] = detail
-            return infra_record(trial, error)
+            result = infra_result(trial, error)
+            self.stats.quarantined[trial.index] = result.detail
+            return result
         self.stats.retries += 1
         delay = self.policy.delay(trial.index, attempts)
         if self.event_writer is not None:
@@ -238,24 +254,24 @@ class TrialSupervisor:
         self.sleep(delay)
         return None
 
-    # -- serial path ---------------------------------------------------------
+    # -- in-process path ------------------------------------------------------
 
-    def _run_serial(self, trials: Sequence[Trial], sink: TrialSink) -> None:
+    def _run_in_process(self, trials: Sequence[Trial], sink: TrialSink) -> None:
         for trial in trials:
             attempts = 0
             while True:
                 attempts += 1
                 try:
-                    record = self.execute(trial, self.timeout_s)
+                    result = self.execute(trial, self.timeout_s)
                 except KeyboardInterrupt:
                     raise
                 except BaseException as error:  # noqa: BLE001 - supervised
-                    record = self._note_failure(trial, attempts, error)
-                    if record is None:
+                    result = self._note_failure(trial, attempts, error)
+                    if result is None:
                         continue
                 break
             self.stats.executed += 1
-            sink(trial.index, record, attempts)
+            sink(trial.index, result, attempts)
             if self.chaos_hook is not None:
                 self.chaos_hook(self.stats.executed, [])
 
@@ -322,7 +338,7 @@ class TrialSupervisor:
                 trial, future, attempts = window[0]
                 attempts += 1
                 try:
-                    _index, record = future.result(timeout=hard_timeout)
+                    _index, result = future.result(timeout=hard_timeout)
                 except KeyboardInterrupt:
                     raise
                 except (BrokenProcessPool, FutureTimeout) as error:
@@ -336,21 +352,21 @@ class TrialSupervisor:
                     window.clear()
                     self._shutdown(executor, kill=True)
                     executor = self._make_executor()
-                    record = self._note_failure(trial, attempts, error)
-                    if record is not None:
+                    result = self._note_failure(trial, attempts, error)
+                    if result is not None:
                         resubmit = resubmit[1:]  # head quarantined
                     for other, other_attempts in resubmit:
                         submit(
                             other,
                             other_attempts + (1 if other is trial else 0),
                         )
-                    if record is None:
+                    if result is None:
                         continue
-                    # fall through: deliver the head's quarantine record
+                    # fall through: deliver the head's quarantine result
                 except BaseException as error:  # noqa: BLE001 - supervised
                     window.popleft()
-                    record = self._note_failure(trial, attempts, error)
-                    if record is None:
+                    result = self._note_failure(trial, attempts, error)
+                    if result is None:
                         # Preserve schedule order: the retried trial
                         # goes back to the *front* of the window.
                         future = executor.submit(
@@ -361,7 +377,7 @@ class TrialSupervisor:
                 else:
                     window.popleft()
                 self.stats.executed += 1
-                sink(trial.index, record, attempts)
+                sink(trial.index, result, attempts)
                 if self.chaos_hook is not None:
                     self.chaos_hook(
                         self.stats.executed, self._worker_pids(executor)
@@ -374,7 +390,7 @@ class TrialSupervisor:
     # -- entry point ---------------------------------------------------------
 
     def run(self, trials: Sequence[Trial], sink: TrialSink) -> SupervisionStats:
-        """Execute *trials*, delivering records to *sink* in order.
+        """Execute *trials*, delivering results to *sink* in order.
 
         Returns the accumulated :class:`SupervisionStats`.  Raises
         :class:`KeyboardInterrupt` through (after tearing the pool
@@ -384,5 +400,5 @@ class TrialSupervisor:
         if self.workers > 1:
             self._run_pool(trials, sink)
         else:
-            self._run_serial(trials, sink)
+            self._run_in_process(trials, sink)
         return self.stats

@@ -65,9 +65,19 @@ class FaultInjector:
         ... run the machine ...
         injector.detach()
         injector.events  # what actually happened
+
+    *pc_hits* pre-seeds the per-PC execution counts that PC triggers
+    fire on (``{pc: visits so far}``), for an injector attached to a
+    machine that already ran part of the program - the lockstep
+    campaign executor attaches it where a lane leaves the batch.
     """
 
-    def __init__(self, machine: RiscMachine, specs: list[FaultSpec] | tuple[FaultSpec, ...]):
+    def __init__(
+        self,
+        machine: RiscMachine,
+        specs: list[FaultSpec] | tuple[FaultSpec, ...],
+        pc_hits: dict[int, int] | None = None,
+    ):
         self.machine = machine
         self.specs = list(specs)
         self.events: list[InjectionEvent] = []
@@ -75,7 +85,7 @@ class FaultInjector:
         self._stuck: list[FaultSpec] = []  # triggered persistent reg/mem/psw faults
         self._fetch_transient: dict[int, list[FaultSpec]] = {}  # pc -> armed one-shot
         self._fetch_stuck: dict[int, list[FaultSpec]] = {}  # pc -> permanent
-        self._pc_hits: dict[int, int] = {}
+        self._pc_hits: dict[int, int] = dict(pc_hits or {})
         self._idle = False  # True once no pending trigger or stuck fault remains
         self._filters_fetch = False
         self._attached = False

@@ -224,10 +224,8 @@ class TestUntakenDelaySlotRegression:
 
 class TestCampaignParity:
     def _parity(self, config, lanes):
-        from repro.faults.batchmode import run_batch_campaign
-
         serial = run_campaign(config)
-        batched = run_batch_campaign(config, lanes=lanes)
+        batched = run_campaign(config, batch_lanes=lanes)
         assert batched.fingerprint() == serial.fingerprint()
         assert len(batched.results) == len(serial.results)
         for got, want in zip(batched.results, serial.results):
@@ -245,11 +243,39 @@ class TestCampaignParity:
         )
         self._parity(config, lanes=3)
 
-    def test_run_campaign_batch_lanes_routes_to_batch_path(self):
+    def test_run_campaign_batch_lanes_routes_to_batch_path(self, monkeypatch):
+        from repro.faults.batchmode import LockstepExecutor
+
+        chunks = []
+        run_chunk = LockstepExecutor._run_chunk
+
+        def counting(self, chunk, timeout_s):
+            chunks.append(len(chunk))
+            return run_chunk(self, chunk, timeout_s)
+
+        monkeypatch.setattr(LockstepExecutor, "_run_chunk", counting)
         config = CampaignConfig(seed=7, injections=6, benchmarks=("towers",))
         serial = run_campaign(config)
         batched = run_campaign(config, batch_lanes=4)
         assert batched.fingerprint() == serial.fingerprint()
+        assert chunks == [4, 2]
+
+    def test_lanes_journal_and_resume(self, tmp_path):
+        """Lanes feed the same journal: kill mid-chunk, resume on lanes."""
+        from repro.faults.campaign import CampaignInterrupted
+
+        config = CampaignConfig(seed=7, injections=6, benchmarks=("towers",))
+        path = str(tmp_path / "lanes.jsonl")
+
+        def chaos(done, pids):
+            if done == 3:
+                raise KeyboardInterrupt
+
+        with pytest.raises(CampaignInterrupted):
+            run_campaign(config, batch_lanes=4, journal=path, chaos_hook=chaos)
+        resumed = run_campaign(config, batch_lanes=4, resume=path, shards=2)
+        assert resumed.resume_info["resumed_trials"] == 3
+        assert resumed.fingerprint() == run_campaign(config).fingerprint()
 
     @settings(max_examples=2, deadline=None)
     @given(st.integers(min_value=0, max_value=2**16))

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.faults.campaign import (
     CampaignConfig,
     CampaignInterrupted,
+    CampaignReport,
     FingerprintStream,
     Outcome,
     TrialTimeoutError,
@@ -32,13 +33,11 @@ from repro.faults.distributed import (
     JournalError,
     RetryPolicy,
     StreamingAggregator,
-    StreamingCampaignReport,
     TrialJournal,
     TrialSupervisor,
     compose_fingerprints,
     execute_trial,
     recover_journal,
-    run_distributed_campaign,
     shard_bounds,
     shard_schedule,
 )
@@ -55,7 +54,7 @@ N = CONFIG.injections
 
 @pytest.fixture(scope="module")
 def serial_report():
-    """The uninterrupted serial reference run (batch path)."""
+    """The uninterrupted in-process reference run (results in memory)."""
     return run_campaign(CONFIG)
 
 
@@ -95,15 +94,10 @@ class TestSharding:
 
     def test_shard_accessors(self):
         plan = shard_schedule(CONFIG, 5)
-        assert sum(plan.sizes()) == N
         recombined = [t for i in range(5) for t in plan.shard(i)]
         assert recombined == list(plan.trials)
-        assert plan.shard_of(0) == 0
-        assert plan.shard_of(N - 1) == 4
         with pytest.raises(IndexError):
             plan.shard(5)
-        with pytest.raises(IndexError):
-            plan.shard_of(N)
 
     @pytest.mark.parametrize("n_shards", [1, 2, 4, 7])
     def test_fingerprints_compose_to_serial(
@@ -120,7 +114,7 @@ class TestSharding:
         self, serial_records
     ):
         plan = shard_schedule(CONFIG, 3)
-        report = run_campaign(CONFIG, stream=True, shards=3, shard_index=1)
+        report = run_campaign(CONFIG, shards=3, shard_index=1)
         start, stop = plan.bounds[1]
         expected = FingerprintStream()
         for record in serial_records[start:stop]:
@@ -130,21 +124,23 @@ class TestSharding:
 
 
 class TestStreamingReport:
-    def test_streaming_matches_batch(self, serial_report, serial_fp):
-        report = run_campaign(CONFIG, stream=True)
-        assert isinstance(report, StreamingCampaignReport)
+    def test_streaming_matches_batch(self, serial_report, serial_fp, tmp_path):
+        report = run_campaign(CONFIG, journal=str(tmp_path / "j.jsonl"))
+        assert isinstance(report, CampaignReport)
         assert report.fingerprint() == serial_fp
         assert report.summary() == serial_report.summary()
         assert report.rate_table().render() == serial_report.rate_table().render()
         assert report.outcome_counts() == serial_report.outcome_counts()
 
-    def test_streaming_retains_no_results(self):
-        report = run_campaign(CONFIG, stream=True)
-        assert not hasattr(report, "results")
-        assert not hasattr(report, "as_records")
+    def test_streaming_retains_no_results(self, serial_report, tmp_path):
+        """A journal holds the trials, so memory holds none of them."""
+        report = run_campaign(CONFIG, journal=str(tmp_path / "j.jsonl"))
+        assert report.results is None
+        assert report.as_records() == serial_report.as_records()
+        assert len(serial_report.results) == N
 
     def test_manifest_validates_and_has_v2_sections(self, serial_fp):
-        report = run_campaign(CONFIG, stream=True, shards=2)
+        report = run_campaign(CONFIG, shards=2)
         doc = report.manifest()
         assert validate_campaign_manifest(doc) == []
         assert doc["shards"]["count"] == 2
@@ -357,9 +353,10 @@ class TestSupervision:
         )
         assert stats.infra_errors == 1
         assert 1 in stats.quarantined
-        record = dict(out)[1]
-        assert record["outcome"] == Outcome.INFRA_ERROR.value
-        assert record["halt"] == "INFRA_ERROR"
+        result = dict(out)[1]
+        assert result.outcome is Outcome.INFRA_ERROR
+        assert result.halt == "INFRA_ERROR"
+        assert result.detail == "RuntimeError: permanent"
         # quarantine preserves delivery order
         assert [i for i, _ in out] == [0, 1, 2]
 
@@ -389,7 +386,7 @@ class TestSupervision:
             plan.trials[:1], lambda i, r, a: out.append(r)
         )
         assert stats.timeouts == 2
-        assert out[0]["outcome"] == Outcome.INFRA_ERROR.value
+        assert out[0].outcome is Outcome.INFRA_ERROR
 
     def test_backoff_is_deterministic_and_bounded(self):
         policy = RetryPolicy(
@@ -427,13 +424,13 @@ class TestSupervision:
         assert retries[0]["trial"] == 0
         assert retries[0]["attempt"] == 1
 
-    def test_execute_trial_matches_serial_record(self, serial_records):
+    def test_execute_trial_matches_serial_record(self, serial_report):
         plan = _plan()
-        assert execute_trial(plan.trials[0], None) == serial_records[0]
+        assert execute_trial(plan.trials[0], None) == serial_report.results[0]
 
 
 def injection_record_for(trial):
-    """A real record for *trial* (used by injected fake executors)."""
+    """A real result for *trial* (used by injected fake executors)."""
     return execute_trial(trial, None)
 
 
@@ -449,6 +446,67 @@ class TestPoolPath:
         assert registry.get("campaign.pool_restarts").value == 0
 
 
+def _sharded(tmp_path):
+    """A two-shard run whose per-shard fingerprints compose."""
+    report = run_campaign(CONFIG, shards=2)
+    digests = [trial_digest(record) for record in report.as_records()]
+    per_shard = [digests[start:stop] for start, stop in shard_bounds(N, 2)]
+    assert report.manifest()["shards"]["fingerprints"] == [
+        compose_fingerprints([shard]) for shard in per_shard
+    ]
+    assert compose_fingerprints(per_shard) == report.fingerprint()
+    return report
+
+
+def _killed_and_resumed(tmp_path):
+    """Ctrl-C after 5 journalled trials, then resume the journal."""
+    path = str(tmp_path / "killed.jsonl")
+
+    def chaos(done, pids):
+        if done == 5:
+            raise KeyboardInterrupt
+
+    with pytest.raises(CampaignInterrupted):
+        run_campaign(CONFIG, journal=path, chaos_hook=chaos)
+    report = run_campaign(CONFIG, resume=path)
+    assert report.resume_info["resumed_trials"] == 5
+    return report
+
+
+def _lockstep(tmp_path):
+    pytest.importorskip("numpy")
+    return run_campaign(CONFIG, batch_lanes=4)
+
+
+#: Every way to execute CONFIG; each must reproduce the in-process run.
+SHAPES = {
+    "in_process": lambda tmp_path: run_campaign(CONFIG),
+    "workers_2": lambda tmp_path: run_campaign(CONFIG, workers=2),
+    "batch_lanes_4": _lockstep,
+    "journaled": lambda tmp_path: run_campaign(
+        CONFIG, journal=str(tmp_path / "j.jsonl")
+    ),
+    "killed_and_resumed": _killed_and_resumed,
+    "shards_2": _sharded,
+}
+
+
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_every_execution_shape_is_byte_identical(shape, serial_report, tmp_path):
+    """Fingerprint, records and manifest (bar the operational ``resume``
+    counters, and the shard partition itself) match the in-process run."""
+    report = SHAPES[shape](tmp_path)
+    assert report.fingerprint() == serial_report.fingerprint()
+    assert report.as_records() == serial_report.as_records()
+    got, want = report.manifest(), serial_report.manifest()
+    for doc in (got, want):
+        del doc["resume"]
+    if shape == "shards_2":
+        assert got.pop("shards")["count"] == 2
+        del want["shards"]
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
 class TestInterruption:
     def test_ctrl_c_flushes_journal_and_is_resumable(
         self, tmp_path, serial_fp
@@ -460,7 +518,7 @@ class TestInterruption:
                 raise KeyboardInterrupt
 
         with pytest.raises(CampaignInterrupted) as excinfo:
-            run_distributed_campaign(CONFIG, journal=path, chaos_hook=chaos)
+            run_campaign(CONFIG, journal=path, chaos_hook=chaos)
         exc = excinfo.value
         assert isinstance(exc, KeyboardInterrupt)
         assert exc.completed == 5
@@ -507,6 +565,46 @@ class TestCliValidation:
         with pytest.raises(SystemExit) as excinfo:
             main(["--shards", "2", "--shard-index", "2"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "x"])
+    def test_bad_timeout_rejected(self, value, capsys):
+        from repro.faults.campaign import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--timeout-s", value])
+        assert excinfo.value.code == 2
+        assert "seconds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_timeout_rejected_by_run_campaign(self, value):
+        with pytest.raises(ValueError, match="timeout_s"):
+            run_campaign(CONFIG, timeout_s=value)
+
+    def test_batch_lanes_with_workers_rejected(self, capsys):
+        from repro.faults.campaign import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--batch-lanes", "4", "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "--batch-lanes" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="batch_lanes"):
+            run_campaign(CONFIG, batch_lanes=4, workers=2)
+
+    def test_supervision_flags_apply_without_a_journal(self, tmp_path, capsys):
+        """A plain run honours --timeout-s/--retries, and --json needs no
+        journal."""
+        from repro.faults.campaign import main
+
+        out = str(tmp_path / "records.json")
+        rc = main([
+            "--injections", "2", "--benchmarks", "towers",
+            "--timeout-s", "1e-9", "--retries", "1", "--json", out,
+        ])
+        assert rc == 1
+        assert "2 trial(s) quarantined as INFRA_ERROR" in capsys.readouterr().out
+        with open(out) as handle:
+            records = json.load(handle)["records"]
+        assert [r["outcome"] for r in records] == ["infra_error"] * 2
 
     def test_timeout_default_documented(self, capsys):
         from repro.faults.campaign import DEFAULT_TRIAL_TIMEOUT_S, main
